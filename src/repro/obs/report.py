@@ -64,22 +64,14 @@ def build_report(baseline: SimulationResult,
                  num_cpus: int,
                  scale: float,
                  histograms: Optional[Dict[str, dict]] = None,
-                 timings: Optional[Dict[str, float]] = None,
-                 engine_backend: Optional[str] = None
+                 timings: Optional[Dict[str, float]] = None
                  ) -> Dict[str, object]:
-    """Assemble the mergeable report dict for one baseline/secured pair.
-
-    ``engine_backend`` is the resolved backend the runs executed under
-    (:attr:`SmpSystem.engine_backend`); when omitted it falls back to
-    what ``auto`` resolves to right now.
-    """
+    """Assemble the mergeable report dict for one baseline/secured pair."""
     from ..sim.sweep import ENGINE_VERSION
-    from ..smp.engine import default_backend
     return {
         "kind": "repro-report",
         "schema_version": REPORT_SCHEMA_VERSION,
         "engine_version": ENGINE_VERSION,
-        "engine_backend": engine_backend or default_backend(),
         "workload": workload,
         "num_cpus": num_cpus,
         "scale": scale,
@@ -104,7 +96,6 @@ def format_report(report: Dict[str, object]) -> str:
         ["workload", report["workload"]],
         ["cpus", report["num_cpus"]],
         ["scale", report["scale"]],
-        ["engine backend", report.get("engine_backend", "?")],
         ["baseline cycles", f"{report['configs']['baseline']['cycles']:,}"],
         ["secured cycles", f"{report['configs']['secured']['cycles']:,}"],
         ["slowdown", f"{report['slowdown_percent']:+.3f}%"],

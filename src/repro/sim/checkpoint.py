@@ -36,26 +36,21 @@ mismatch — so workloads whose traces are not prefix-stable under
 scale (fft reshapes per-phase loops with scale) are never silently
 mis-forked, they just gain nothing. The family fingerprint
 (:func:`family_key`) additionally pins workload name, seed, the full
-config minus the backend choice, :data:`~repro.sim.sweep.ENGINE_VERSION`
-and :data:`CHECKPOINT_VERSION`, so any semantic change invalidates
-the store wholesale.
+config, :data:`~repro.sim.sweep.ENGINE_VERSION` and
+:data:`CHECKPOINT_VERSION`, so any semantic change invalidates the
+store wholesale.
 
 Trust model: snapshots are **pickles** and must only be loaded from
 directories the local user controls — the same trust domain as the
 ResultCache (both live under ``.benchmarks/`` by default). They are
 not a wire format; the serve plane never accepts snapshots from
 clients, it only shares a store across its own workers.
-
-Forks always execute on the scalar slice engine
-(:func:`repro.smp.fastpath._run_loop`) regardless of
-``config.engine``: backends are bit-identical (pinned by
-tests/smp/test_engine_backends.py), so the result is the same either
-way and the resumable loop only exists once.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -67,7 +62,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CheckpointError
-from ..smp.fastpath import _finish_run, _run_loop, new_counters
+from ..smp.fastpath import _finish_run, _run_loop, new_counters, run_fast
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
 from .sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
@@ -99,15 +94,13 @@ def family_key(point: SweepPoint, recorded: bool = False) -> str:
     inside the pickled machine, so it must never be forked into a
     plain (unrecorded) run, and vice versa.
     """
-    config_payload = asdict(point.config)
-    config_payload.pop("engine", None)  # backends are bit-identical
     payload = {
         "engine": ENGINE_VERSION,
         "checkpoint": CHECKPOINT_VERSION,
         "workload": point.workload,
         "seed": point.seed,
         "recorded": bool(recorded),
-        "config": config_payload,
+        "config": asdict(point.config),
     }
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -206,6 +199,22 @@ def validates_against(meta: Dict[str, object],
     return trace_digests(workload, cursors) == digests
 
 
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Unpickler for snapshots, including ones captured while the
+    engine-backend registry existed: those pickle the machine's bound
+    backend callable (``run_auto`` or ``run_vector``) from
+    ``repro.smp`` modules that are gone. Every backend was
+    bit-identical to ``run_fast``, so the reference resolves to it.
+    Remove once no store holds a CHECKPOINT_VERSION 2 snapshot
+    written before the registry's removal."""
+
+    def find_class(self, module, name):
+        if module.startswith("repro.smp.") \
+                and name in ("run_auto", "run_vector"):
+            return run_fast
+        return super().find_class(module, name)
+
+
 def restore(snapshot: MachineSnapshot):
     """Unpickle a snapshot into ``(system, clocks, cursors, counters)``.
 
@@ -220,7 +229,7 @@ def restore(snapshot: MachineSnapshot):
             f"checkpoint blob checksum mismatch (tag "
             f"{snapshot.meta.get('tag')!r})")
     try:
-        payload = pickle.loads(blob)
+        payload = _SnapshotUnpickler(io.BytesIO(blob)).load()
         system = payload["system"]
         clocks = list(payload["clocks"])
         cursors = list(payload["cursors"])

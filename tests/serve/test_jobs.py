@@ -35,12 +35,22 @@ class TestConfigRoundTrip:
             config_from_dict({"num_procesors": 8})
 
     def test_unknown_nested_field_rejected(self):
-        with pytest.raises(ConfigError, match="unknown"):
-            config_from_dict({"senss": {"auth_intervall": 10}})
+        # the legacy "engine" key is dropped only at the top level
+        for section in ({"auth_intervall": 10}, {"engine": "vector"}):
+            with pytest.raises(ConfigError, match="unknown"):
+                config_from_dict({"senss": section})
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"num_processors": 0})
+
+    def test_legacy_engine_key_dropped(self):
+        """Payloads written while the config had an engine-backend
+        knob carry a top-level "engine"; it is accepted and ignored."""
+        payload = config_to_dict(e6000_config())
+        for backend in ("auto", "scalar", "vector"):
+            assert config_from_dict({**payload, "engine": backend}) \
+                == e6000_config()
 
 
 class TestPointRoundTrip:
@@ -65,6 +75,14 @@ class TestPointRoundTrip:
     def test_bad_points_rejected(self, payload, match):
         with pytest.raises(ServeError, match=match):
             point_from_dict(payload)
+
+    def test_legacy_engine_key_keeps_point_key(self):
+        point = SweepPoint("fft", e6000_config(num_processors=2),
+                           scale=0.05, seed=1)
+        payload = point_to_dict(point)
+        legacy = {**payload,
+                  "config": {**payload["config"], "engine": "vector"}}
+        assert point_key(point_from_dict(legacy)) == point_key(point)
 
     def test_bad_config_maps_to_serve_error(self):
         with pytest.raises(ServeError, match="unknown"):

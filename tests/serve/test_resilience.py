@@ -8,11 +8,14 @@ executors cannot break the way these paths exist to survive.
 """
 
 import asyncio
+import json
 import os
+import shutil
 import signal
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +24,10 @@ from repro.serve.jobs import JobSpec
 from repro.serve.journal import JobJournal
 from repro.serve.scheduler import Scheduler
 from repro.serve.supervisor import WorkerSupervisor
-from repro.sim.sweep import ResultCache, SweepPoint
+from repro.sim.sweep import ResultCache, SweepPoint, point_key
 from repro.smp.metrics import SimulationResult
+
+DATA = Path(__file__).parent.parent / "data"
 
 
 def make_result(point):
@@ -318,6 +323,32 @@ class TestResume:
                 assert second.list_jobs() == []
             finally:
                 second_pool.shutdown(wait=False)
+        asyncio.run(scenario())
+
+    def test_resume_accepts_journal_carrying_engine_key(self, tmp_path):
+        """A journal written while configs still carried the retired
+        "engine" field: its job is re-admitted under the same point
+        key it was journalled with, and completes."""
+        legacy = DATA / "journal_engine_key.jsonl"
+        journalled_key = json.loads(
+            legacy.read_text().splitlines()[2])["key"]
+        state = tmp_path / "state"
+        state.mkdir()
+        shutil.copy(legacy, state / "journal.jsonl")
+
+        async def scenario():
+            runner = FlakyRunner(fail_times=0)
+            scheduler, pool = make_scheduler(runner, journal=state)
+            try:
+                resumed = scheduler.resume()
+                assert [job.id for job in resumed] == ["job-000001"]
+                job = resumed[0]
+                assert point_key(job.spec.points[0]) == journalled_key
+                await wait_until(lambda: job.terminal)
+                assert job.state == "done"
+                assert runner.order == [3]
+            finally:
+                pool.shutdown(wait=False)
         asyncio.run(scenario())
 
     def test_resume_without_journal_is_noop(self):

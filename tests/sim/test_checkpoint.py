@@ -9,6 +9,8 @@ stats, same recording bytes. The speedup is worthless without that.
 
 import hashlib
 import os
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,36 @@ class TestSnapshotRoundTrip:
         recording.save(b)
         assert hashlib.sha256(a.read_bytes()).hexdigest() \
             == hashlib.sha256(b.read_bytes()).hexdigest()
+
+    def test_snapshot_bound_to_retired_backend_restores(
+            self, monkeypatch):
+        """Snapshots captured while the engine-backend registry
+        existed pickle the machine's bound backend callable from a
+        module that is gone; they restore and continue identically."""
+        def run_auto(system, workload):
+            raise AssertionError("never called")
+        run_auto.__module__, run_auto.__qualname__ = \
+            "repro.smp.engine", "run_auto"
+        legacy = types.ModuleType("repro.smp.engine")
+        legacy.run_auto = run_auto
+        monkeypatch.setitem(sys.modules, "repro.smp.engine", legacy)
+
+        target = point()
+        workload = generate(target.workload, 2, scale=target.scale)
+        system = build_system(target.config)
+        system._run_impl = run_auto
+        clocks, cursors, counters = [0, 0], [0, 0], new_counters(2)
+        _run_loop(system, workload, clocks, cursors, counters,
+                  stop_accesses=150)
+        snapshot = capture(system, workload, target, clocks, cursors,
+                           counters, tag="legacy")
+        monkeypatch.delitem(sys.modules, "repro.smp.engine")
+
+        system, clocks, cursors, counters = restore(snapshot)
+        _run_loop(system, workload, clocks, cursors, counters)
+        assert_same_result(run_point(target),
+                           _finish_run(system, workload, clocks,
+                                       counters))
 
     def test_corrupt_blob_raises(self):
         target = point()

@@ -28,6 +28,15 @@ class TestPointKey:
         assert point_key(point(senss_enabled=False)) != base
         assert point_key(point(auth_interval=10)) != base
 
+    def test_key_is_pinned(self):
+        """Cache keys are stable across refactors that do not change
+        results: warm caches stay valid."""
+        pinned = SweepPoint("fft", e6000_config(num_processors=4,
+                                                l2_mb=1),
+                            scale=0.05, seed=0)
+        assert point_key(pinned) == ("46155ef93351041488590e09ee5329b6"
+                                     "c7dd84b9c9878d046bc75e6b951d6e20")
+
     def test_engine_version_is_part_of_the_key(self, monkeypatch):
         before = point_key(point())
         monkeypatch.setattr("repro.sim.sweep.ENGINE_VERSION",
