@@ -37,6 +37,12 @@ change simulated cycles, and a run with recording disabled must cost
 the interleaved noise floor (budget: 2%) — the same gate ``--check``
 re-asserts against the committed report.
 
+A **generation** point times trace synthesis (DESIGN.md §6b): ns per
+generated access for each SPLASH-2 generator at ``GENERATION_CPUS``
+CPUs and ``GENERATION_SCALE``, called directly so the registry memo
+never answers. ``--check`` fails when any generator is more than
+``--threshold`` percent slower than the committed value.
+
 Finally it records a **serving** point (docs/serving.md): the same
 sweep submitted ``SERVING_SUBMISSIONS`` times, cold (a fresh
 ``run_sweep`` pool per client, no cache) vs warm (one persistent
@@ -74,7 +80,7 @@ from conftest import (BENCH_SCALE, BENCH_SEED, baseline_config,
 
 from repro.config import KB, SystemConfig
 from repro.sim.sweep import build_system
-from repro.workloads.registry import generate
+from repro.workloads.registry import SPLASH2_NAMES, WORKLOADS, generate
 
 CPUS = 4
 L2_MB = 1
@@ -125,6 +131,15 @@ CAMPAIGN_SCALE = 0.2
 CAMPAIGN_TRIGGER = 70
 
 
+#: trace synthesis is timed per SPLASH-2 generator at this point
+GENERATION_CPUS = 4
+GENERATION_SCALE = 0.2
+#: best-of-N for the generation points, whatever ``--repeats`` says:
+#: each takes tens of milliseconds, so nine repeats cost little and
+#: damp the host's noise
+GENERATION_REPEATS = 9
+
+
 def integrated_config() -> SystemConfig:
     return senss_config(CPUS, L2_MB).with_memprotect(
         encryption_enabled=True, integrity_enabled=True)
@@ -145,6 +160,30 @@ def measure(config: SystemConfig, bench_workload) -> dict:
         "accesses_per_second": round(accesses / best),
         "cycles": result.cycles,
     }
+
+
+def measure_generation(repeats: int = GENERATION_REPEATS) -> dict:
+    """Best-of-``repeats`` trace synthesis cost per SPLASH-2 generator.
+
+    The repeats go round-robin over the generators, so a slow spell of
+    the host spreads over all of them instead of sinking one.
+    """
+    best = dict.fromkeys(SPLASH2_NAMES, float("inf"))
+    accesses = {}
+    for _ in range(repeats):
+        for name in SPLASH2_NAMES:
+            start = time.perf_counter()
+            generated = WORKLOADS[name](GENERATION_CPUS,
+                                        scale=GENERATION_SCALE,
+                                        seed=BENCH_SEED + 1)
+            best[name] = min(best[name], time.perf_counter() - start)
+            accesses[name] = generated.total_accesses
+    generators = {
+        name: {"accesses": accesses[name],
+               "ns_per_access": round(best[name] / accesses[name] * 1e9)}
+        for name in SPLASH2_NAMES}
+    return {"num_cpus": GENERATION_CPUS, "scale": GENERATION_SCALE,
+            "generators": generators}
 
 
 def hitheavy_configs():
@@ -374,6 +413,8 @@ def measure_fault_campaign() -> dict:
 def test_engine_throughput(benchmark, emit):
     from repro.analysis.report import format_table
 
+    # Timed first, before any workload is retained in the memo.
+    generation = measure_generation()
     configs = hitheavy_configs()
     report = {"workload": WORKLOAD, "num_cpus": CPUS, "l2_mb": L2_MB,
               "scale": BENCH_SCALE, "configs": {}}
@@ -413,6 +454,15 @@ def test_engine_throughput(benchmark, emit):
         f"(accesses/s, best of {REPEATS})",
         ["config", "accesses/s", "seconds"], rows)
     emit(table)
+
+    report["generation"] = generation
+    emit(format_table(
+        f"Trace synthesis — {GENERATION_CPUS}P, scale "
+        f"{GENERATION_SCALE:g} (ns per access, best of "
+        f"{GENERATION_REPEATS})",
+        ["generator", "accesses", "ns/access"],
+        [[name, f"{point['accesses']:,}", f"{point['ns_per_access']:,}"]
+         for name, point in generation["generators"].items()]))
 
     # Observability point (DESIGN.md §6d): the observer hooks must be
     # ~free when no tracer is attached, and attaching one must not
@@ -786,6 +836,21 @@ def _compare(committed: dict, fresh: dict, threshold_pct: float):
             yield prefix + kind, old_rate, new_rate, delta_pct, ok
 
 
+def _compare_generation(committed: dict, fresh: dict,
+                        threshold_pct: float):
+    """Yield one (name, committed, fresh, delta_pct, ok) per generator;
+    the values are ns per access, so a positive delta is a slowdown."""
+    new_points = fresh.get("generation", {}).get("generators", {})
+    for name, old in committed.get("generation", {}).get(
+            "generators", {}).items():
+        new = new_points.get(name)
+        if new is None:
+            continue
+        old_ns, new_ns = old["ns_per_access"], new["ns_per_access"]
+        yield (name, old_ns, new_ns, (new_ns / old_ns - 1) * 100,
+               new_ns <= old_ns * (1 + threshold_pct / 100))
+
+
 def _ratio_gates(committed: dict, scale: float) -> int:
     """Re-measure the wall-clock ratio gates against their floors.
 
@@ -866,6 +931,8 @@ def main(argv=None) -> int:
         return _ratio_gates(committed, scale)
 
     fresh = _fresh_points(scale, args.repeats)
+    # after the memo is cleared: retained workloads tax generation
+    fresh["generation"] = measure_generation()
 
     width = max(len("config"), *(len(label) for label, *_ in
                                  _compare(committed, fresh, 0)))
@@ -878,6 +945,18 @@ def main(argv=None) -> int:
               f"{delta_pct:>+7.1f}%{flag}")
         if not ok:
             failures.append(label)
+
+    generation = list(_compare_generation(committed, fresh,
+                                          args.threshold))
+    if generation:
+        print(f"{'generator':<{width}}  {'ns/access':>10}  {'fresh':>10}"
+              f"  {'delta':>8}")
+    for name, old_ns, new_ns, delta_pct, ok in generation:
+        flag = "" if ok else "  << REGRESSION"
+        print(f"{name:<{width}}  {old_ns:>10,}  {new_ns:>10,}  "
+              f"{delta_pct:>+7.1f}%{flag}")
+        if not ok:
+            failures.append(f"generation/{name}")
 
     recording = committed.get("recording")
     if recording is not None:

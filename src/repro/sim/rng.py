@@ -46,14 +46,3 @@ class DeterministicRng:
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent child stream (stable under refactoring)."""
         return DeterministicRng((self.seed * 1_000_003 + salt) & 0x7FFFFFFF)
-
-    def geometric(self, mean: float) -> int:
-        """Geometric-ish positive integer with the given mean (>= 1)."""
-        if mean <= 1.0:
-            return 1
-        # Inverse-CDF sampling of a geometric distribution.
-        probability = 1.0 / mean
-        value = 1
-        while self._random.random() > probability and value < 64 * mean:
-            value += 1
-        return value

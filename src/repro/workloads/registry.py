@@ -21,12 +21,15 @@ WORKLOADS: Dict[str, Callable[..., Workload]] = {
 
 
 #: process-wide memo of generated workloads. Trace synthesis is pure
-#: (a seeded RNG walk) but costs more than simulating small points, so
-#: repeated generation — every sweep point, every serve submission,
-#: every checkpoint-chain fork — would otherwise dominate exactly the
-#: runs the prefix-sharing executor speeds up. Generated workloads are
-#: immutable by convention (nothing in the tree writes to a trace
-#: after assembly), so sharing one object across runs is sound.
+#: (a seeded RNG walk) but not free: at 4P on the default machine it
+#: costs a third to a half of simulating the same point for fft, lu
+#: and ocean, and about as much for radix and barnes (DESIGN.md §6b).
+#: Repeated generation — every sweep point, every serve submission,
+#: every checkpoint-chain fork — would otherwise be a large share of
+#: exactly the runs the prefix-sharing executor speeds up. Generated
+#: workloads are immutable by convention (nothing in the tree writes
+#: to a trace after assembly), so sharing one object across runs is
+#: sound.
 _MEMO_CAPACITY = 8
 _MEMO: "OrderedDict[Tuple[str, int, float, int], Workload]" \
     = OrderedDict()

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..smp.trace import Workload
 from .base import (SHARED_BASE, WORD_BYTES, assemble, conflict_block,
-                   make_builders, private_base)
+                   interleave, make_builders, private_base)
 
 
 def _words(num_bytes: int) -> int:
@@ -44,23 +44,28 @@ def fft(num_cpus: int, scale: float = 1.0, seed: int = 1) -> Workload:
     tiles_per_phase = max(1, int(2.4 * scale))
     tile_words = 256                             # 2 KB tiles
     passes_per_tile = 4
+    # One tile pass: read a twiddle factor, then read-modify-write
+    # every other word of the tile.
+    pass_flags = b"\x00\x00\x01" * (tile_words // 2) * passes_per_tile
 
     for phase in range(phases):
         for cpu, builder in enumerate(builders):
             base_private = private_base(cpu) + 4096
             my_chunk = SHARED_BASE + cpu * chunk_words * WORD_BYTES
+            twiddles = [base_private + (word * WORD_BYTES) % (1 << 14)
+                        for word in range(0, tile_words, 2)]
             # Butterfly compute: several passes over each tile of our
             # chunk (reads of twiddle factors from private memory).
             for tile in range(tiles_per_phase):
                 tile_base = (my_chunk
                              + ((phase * tiles_per_phase + tile)
                                 * tile_words % chunk_words) * WORD_BYTES)
-                for tile_pass in range(passes_per_tile):
-                    for word in range(0, tile_words, 2):
-                        builder.read(base_private
-                                     + (word * WORD_BYTES) % (1 << 14))
-                        builder.read(tile_base + word * WORD_BYTES)
-                        builder.write(tile_base + word * WORD_BYTES)
+                touched = range(tile_base,
+                                tile_base + tile_words * WORD_BYTES,
+                                2 * WORD_BYTES)
+                builder.extend(pass_flags,
+                               interleave(twiddles, touched, touched)
+                               * passes_per_tile)
             # Rotating twiddle-factor table in the capacity-sensitive
             # region: the owner of this phase refreshed block
             # (phase % 12) earlier; everyone re-reads the previous few
@@ -107,7 +112,7 @@ def radix(num_cpus: int, scale: float = 1.0, seed: int = 2) -> Workload:
     keys_per_run = 24
 
     for cpu, builder in enumerate(builders):
-        rng = builder._rng
+        rng = builder.rng
         key_base = private_base(cpu) + 8192
         run_start = 0
         for key_index in range(keys):
@@ -143,7 +148,7 @@ def barnes(num_cpus: int, scale: float = 1.0, seed: int = 3) -> Workload:
     reuse_probability = 0.95
 
     for cpu, builder in enumerate(builders):
-        rng = builder._rng
+        rng = builder.rng
         body_base = private_base(cpu) + 16384
         recent: list = []
         for walk in range(walks):
@@ -197,13 +202,15 @@ def lu(num_cpus: int, scale: float = 1.0, seed: int = 4) -> Workload:
     iterations = max(2, int(55 * scale))
     row_words = _words(row_bytes)
     block_rows = 8                               # each CPU's warm block
+    half_row = row_words // 2                    # every other word
 
     for iteration in range(iterations):
         owner = iteration % num_cpus
         pivot_row = SHARED_BASE + (iteration % rows) * row_bytes
         # Producer updates the pivot row at the head of the iteration.
-        for word in range(row_words):
-            builders[owner].write(pivot_row + word * WORD_BYTES)
+        builders[owner].extend(b"\x01" * row_words,
+                               range(pivot_row, pivot_row + row_bytes,
+                                     WORD_BYTES))
         # Rotating U-diagonal blocks in the capacity-sensitive region:
         # the owner refreshes one block per iteration; consumers later
         # re-read blocks from several iterations back (retained by a
@@ -223,13 +230,15 @@ def lu(num_cpus: int, scale: float = 1.0, seed: int = 4) -> Workload:
             block_base = (SHARED_BASE
                           + (rows - (cpu + 1) * block_rows) * row_bytes)
             block_row = block_base + (iteration % block_rows) * row_bytes
-            for word in range(0, row_words, 2):
-                builder.read(block_row + word * WORD_BYTES)
-                builder.write(block_row + word * WORD_BYTES)
+            updated = range(block_row, block_row + row_bytes,
+                            2 * WORD_BYTES)
+            builder.extend(b"\x00\x01" * half_row,
+                           interleave(updated, updated))
             if cpu != owner:
                 builder.compute(400)  # barrier slack
-                for word in range(0, row_words, 2):
-                    builder.read(pivot_row + word * WORD_BYTES)
+                builder.extend(bytes(half_row),
+                               range(pivot_row, pivot_row + row_bytes,
+                                     2 * WORD_BYTES))
     return assemble("lu", builders, scale=scale, seed=seed,
                     shared_bytes=matrix_bytes, iterations=iterations)
 
@@ -241,8 +250,10 @@ def ocean(num_cpus: int, scale: float = 1.0, seed: int = 5) -> Workload:
     rows_per_cpu = 32
     grid_rows = rows_per_cpu * num_cpus
     iterations = max(2, int(8 * scale))
-    row_words = _words(row_bytes)
     sweep_step = 2
+    stride = 4 * sweep_step * WORD_BYTES
+    # Per visited word: read above, below and own, then write own.
+    row_flags = b"\x00\x00\x00\x01" * (row_bytes // stride)
 
     def row_address(row: int) -> int:
         return SHARED_BASE + (row % grid_rows) * row_bytes
@@ -258,11 +269,10 @@ def ocean(num_cpus: int, scale: float = 1.0, seed: int = 5) -> Workload:
                 above = row_address(row - 1) if row > 0 else mine
                 below = (row_address(row + 1)
                          if row < grid_rows - 1 else mine)
-                for word in range(0, row_words, 4 * sweep_step):
-                    builder.read(above + word * WORD_BYTES)
-                    builder.read(below + word * WORD_BYTES)
-                    builder.read(mine + word * WORD_BYTES)
-                    builder.write(mine + word * WORD_BYTES)
+                own = range(mine, mine + row_bytes, stride)
+                builder.extend(row_flags, interleave(
+                    range(above, above + row_bytes, stride),
+                    range(below, below + row_bytes, stride), own, own))
     return assemble("ocean", builders, scale=scale, seed=seed,
                     shared_bytes=grid_rows * row_bytes,
                     iterations=iterations)

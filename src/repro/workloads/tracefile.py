@@ -84,6 +84,10 @@ def load_workload(path: Union[str, Path]) -> Workload:
                 f"line {line_number}: expected 'cpu R|W address gap', "
                 f"got {raw!r}")
         cpu = _parse_int(fields[0], line_number)
+        if cpu < 0:
+            raise TraceError(
+                f"line {line_number}: cpu id must be non-negative, "
+                f"got {cpu}")
         op = fields[1].upper()
         if op not in ("R", "W"):
             raise TraceError(

@@ -1,6 +1,9 @@
 """Deterministic RNG tests."""
 
+import random
+
 from repro.sim.rng import DeterministicRng
+from repro.workloads.base import WordStream
 
 
 def test_same_seed_same_stream():
@@ -34,16 +37,16 @@ def test_random_bytes_length_and_determinism():
 
 
 def test_geometric_mean_is_roughly_right():
-    rng = DeterministicRng(3)
-    samples = [rng.geometric(8.0) for _ in range(4000)]
+    rng = WordStream(random.Random(3))
+    samples = [rng.gap(8.0) for _ in range(4000)]
     mean = sum(samples) / len(samples)
     assert 6.5 < mean < 9.5
     assert min(samples) >= 1
 
 
 def test_geometric_degenerate_mean():
-    rng = DeterministicRng(3)
-    assert all(rng.geometric(1.0) == 1 for _ in range(10))
+    rng = WordStream(random.Random(3))
+    assert all(rng.gap(1.0) == 1 for _ in range(10))
 
 
 def test_choice_and_sample():

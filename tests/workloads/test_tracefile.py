@@ -75,6 +75,13 @@ def test_malformed_records(tmp_path):
             load_workload(path)
 
 
+def test_negative_cpu_id_is_rejected_with_its_line(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("0 R 0x100 1\n-1 W 0x200 2\n")
+    with pytest.raises(TraceError, match="line 2: cpu id"):
+        load_workload(path)
+
+
 def test_declared_cpu_mismatch(tmp_path):
     path = tmp_path / "bad.trace"
     path.write_text("# cpus: 1\n1 R 0x0 0\n")
