@@ -116,9 +116,10 @@ CHECKPOINT_MIN_SPEEDUP = 2.0
 CHECKPOINT_WORKLOAD = "radix"
 CHECKPOINT_CPUS = 2
 CHECKPOINT_SCALES = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-#: small caches keep the snapshot blob (dominated by resident
-#: CacheLine objects) cheap to pickle — with the default 64K L1 /
-#: 1M L2 the capture/restore pickling eats most of the tail savings.
+#: small caches keep the snapshot blob (dominated by each tag store's
+#: block index: one int key and one CacheLine per resident way) cheap
+#: to pickle — with the default 64K L1 / 1M L2 the capture/restore
+#: pickling eats most of the tail savings.
 CHECKPOINT_L1_KB = 8
 CHECKPOINT_L2_KB = 32
 #: a forked fault campaign must beat cold per-cell prefix simulation

@@ -53,11 +53,11 @@ class CacheHierarchy:
         self.l2 = SetAssociativeCache(l2_config)
         self.stats = stats if stats is not None else StatsRegistry()
         self._prefix = f"cpu{cpu_id}."
-        # L1-line offsets inside one L2 line, precomputed for the
-        # inclusion sweep (a fresh range object per invalidation is
-        # measurable on the snoop path).
-        self._l1_offsets = tuple(range(0, l2_config.line_bytes,
-                                       l1_config.line_bytes))
+        # L1 blocks inside one L2 line, precomputed for the inclusion
+        # sweep (a fresh range object per invalidation is measurable
+        # on the snoop path).
+        self._l1_blocks = tuple(range(l2_config.line_bytes
+                                      // l1_config.line_bytes))
         # Deferred access-classification counters (flushed into the
         # registry on read; see StatsRegistry.register_flusher).
         self._pending_l1_hit = 0
@@ -88,7 +88,7 @@ class CacheHierarchy:
         """Classify a load/store; does not change coherence state except
         recording LRU recency and the silent E->M upgrade on write hits."""
         l2_line = self.l2.line_address(address)
-        l2_entry = self.l2.lookup_line(l2_line)
+        l2_entry = self.l2.lookup(l2_line)
         if l2_entry is None:
             self._pending_l2_miss += 1
             return AccessResult(AccessKind.MISS, l2_line,
@@ -116,17 +116,15 @@ class CacheHierarchy:
     def fill(self, line_address: int,
              state: MesiState) -> Optional[Tuple[int, MesiState]]:
         """Install a missed line in L2 (and L1); returns evicted victim."""
-        victim = self.l2.insert_line(line_address, state)
+        victim = self.l2.insert(line_address, state)
         if victim is not None:
             self._enforce_inclusion(victim[0])
-        # An L2-aligned address is L1-aligned too (L2 lines are the
-        # larger power of two), so the fused insert applies directly.
-        self.l1.insert_line(line_address, MesiState.SHARED)
+        self.l1.insert(line_address, MesiState.SHARED)
         return victim
 
     def upgrade(self, line_address: int) -> None:
         """Commit an S->M upgrade after the invalidating bus transaction."""
-        entry = self.l2.lookup_line(line_address, touch=False)
+        entry = self.l2.lookup(line_address, touch=False)
         if entry is None:
             raise CoherenceError(
                 f"upgrade of non-resident line {line_address:#x}")
@@ -142,7 +140,7 @@ class CacheHierarchy:
         MOESI (``dirty_to_owned``) keeps responsibility on-chip by
         moving M to OWNED instead (memory stays stale).
         """
-        entry = self.l2.lookup_line(line_address, touch=False)
+        entry = self.l2.lookup(line_address, touch=False)
         if entry is None:
             return MesiState.INVALID
         prior = entry.state
@@ -155,7 +153,7 @@ class CacheHierarchy:
 
     def snoop_read_exclusive(self, line_address: int) -> MesiState:
         """Remote BusRdX/Upgrade: return prior state; invalidate."""
-        entry = self.l2.lookup_line(line_address, touch=False)
+        entry = self.l2.lookup(line_address, touch=False)
         if entry is None:
             return MesiState.INVALID
         prior = entry.state
@@ -167,9 +165,12 @@ class CacheHierarchy:
 
     def _enforce_inclusion(self, l2_line_address: int) -> None:
         """Invalidate all L1 lines covered by an evicted/invalid L2 line."""
-        invalidate = self.l1.invalidate_line
-        for offset in self._l1_offsets:
-            invalidate(l2_line_address + offset)
+        index = self.l1._index
+        block = l2_line_address >> self.l1._offset_bits
+        for step in self._l1_blocks:
+            line = index.get(block + step)
+            if line is not None:
+                line.state = MesiState.INVALID
 
     def state_of(self, address: int) -> MesiState:
         return self.l2.state_of(address)

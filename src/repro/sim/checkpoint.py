@@ -50,7 +50,6 @@ clients, it only shares a store across its own workers.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -62,7 +61,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CheckpointError
-from ..smp.fastpath import _finish_run, _run_loop, new_counters, run_fast
+from ..smp.fastpath import _finish_run, _run_loop, new_counters
 from ..smp.metrics import SimulationResult
 from ..smp.trace import Workload, as_columns
 from .sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
@@ -75,8 +74,11 @@ from .sweep import (ENGINE_VERSION, ResultCache, SweepPoint,
 #: History: 1 = initial format; 2 = same layout, invalidates stores
 #: that may hold seam snapshots poisoned by pre-fix same-scale resumes
 #: (a resumed run used to re-emit at a *later* exhaustion under the
-#: same scale tag — see fork_point's seam rule).
-CHECKPOINT_VERSION = 2
+#: same scale tag — see fork_point's seam rule); 3 = cache tag stores
+#: pickle their block index (``CacheLine.block``) and rebuild the
+#: per-set way lists on restore — v2 blobs pickle ``CacheLine.tag``
+#: and cannot restore.
+CHECKPOINT_VERSION = 3
 
 #: First line of every checkpoint file; readable without unpickling.
 MAGIC = b"repro-checkpoint 1\n"
@@ -199,22 +201,6 @@ def validates_against(meta: Dict[str, object],
     return trace_digests(workload, cursors) == digests
 
 
-class _SnapshotUnpickler(pickle.Unpickler):
-    """Unpickler for snapshots, including ones captured while the
-    engine-backend registry existed: those pickle the machine's bound
-    backend callable (``run_auto`` or ``run_vector``) from
-    ``repro.smp`` modules that are gone. Every backend was
-    bit-identical to ``run_fast``, so the reference resolves to it.
-    Remove once no store holds a CHECKPOINT_VERSION 2 snapshot
-    written before the registry's removal."""
-
-    def find_class(self, module, name):
-        if module.startswith("repro.smp.") \
-                and name in ("run_auto", "run_vector"):
-            return run_fast
-        return super().find_class(module, name)
-
-
 def restore(snapshot: MachineSnapshot):
     """Unpickle a snapshot into ``(system, clocks, cursors, counters)``.
 
@@ -229,7 +215,7 @@ def restore(snapshot: MachineSnapshot):
             f"checkpoint blob checksum mismatch (tag "
             f"{snapshot.meta.get('tag')!r})")
     try:
-        payload = _SnapshotUnpickler(io.BytesIO(blob)).load()
+        payload = pickle.loads(blob)
         system = payload["system"]
         clocks = list(payload["clocks"])
         cursors = list(payload["cursors"])

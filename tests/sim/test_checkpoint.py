@@ -9,8 +9,6 @@ stats, same recording bytes. The speedup is worthless without that.
 
 import hashlib
 import os
-import sys
-import types
 
 import pytest
 from hypothesis import given, settings
@@ -153,35 +151,29 @@ class TestSnapshotRoundTrip:
         assert hashlib.sha256(a.read_bytes()).hexdigest() \
             == hashlib.sha256(b.read_bytes()).hexdigest()
 
-    def test_snapshot_bound_to_retired_backend_restores(
-            self, monkeypatch):
-        """Snapshots captured while the engine-backend registry
-        existed pickle the machine's bound backend callable from a
-        module that is gone; they restore and continue identically."""
-        def run_auto(system, workload):
-            raise AssertionError("never called")
-        run_auto.__module__, run_auto.__qualname__ = \
-            "repro.smp.engine", "run_auto"
-        legacy = types.ModuleType("repro.smp.engine")
-        legacy.run_auto = run_auto
-        monkeypatch.setitem(sys.modules, "repro.smp.engine", legacy)
-
-        target = point()
-        workload = generate(target.workload, 2, scale=target.scale)
+    def test_restore_keeps_snoop_lists_aliasing_l2_indexes(self):
+        """The protocol snoops each remote L2 through an alias of its
+        block index; after a restore every alias must be the restored
+        L2's own index, not a stale unpickled copy."""
+        target = point(cpus=4)
+        workload = generate(target.workload, 4, scale=target.scale)
         system = build_system(target.config)
-        system._run_impl = run_auto
-        clocks, cursors, counters = [0, 0], [0, 0], new_counters(2)
+        clocks, cursors, counters = [0] * 4, [0] * 4, new_counters(4)
         _run_loop(system, workload, clocks, cursors, counters,
-                  stop_accesses=150)
+                  stop_accesses=300)
         snapshot = capture(system, workload, target, clocks, cursors,
-                           counters, tag="legacy")
-        monkeypatch.delitem(sys.modules, "repro.smp.engine")
-
-        system, clocks, cursors, counters = restore(snapshot)
-        _run_loop(system, workload, clocks, cursors, counters)
-        assert_same_result(run_point(target),
-                           _finish_run(system, workload, clocks,
-                                       counters))
+                           counters, tag="alias")
+        system, _, _, _ = restore(snapshot)
+        remote_lists = system.protocol._remote_lists
+        assert len(remote_lists) == 4
+        for requester, remotes in enumerate(remote_lists):
+            assert [entry[0] for entry in remotes] \
+                == [cpu for cpu in range(4) if cpu != requester]
+            for entry in remotes:
+                l2 = system.hierarchies[entry[0]].l2
+                assert entry[2] is l2._index
+                assert entry[1] is system.hierarchies[entry[0]]
+        assert any(h.l2._index for h in system.hierarchies)
 
     def test_corrupt_blob_raises(self):
         target = point()
